@@ -238,7 +238,7 @@ static void BM_AlltoallSchedule(benchmark::State& state) {
 BENCHMARK(BM_AlltoallSchedule)->Arg(32)->Arg(128);
 
 // Execution-mode cost: the same pinned micro-benchmark loop under fiber
-// execution (ucontext switch per blocking point) vs machine execution
+// execution (context switch per blocking point) vs machine execution
 // (state-machine step per engine event, zero fibers).  Outputs are
 // byte-identical (test_exec); this measures the host-side cost delta and
 // bounds how much of a sweep's wall-clock the context switches are.

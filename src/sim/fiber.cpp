@@ -1,7 +1,9 @@
 #include "sim/fiber.hpp"
 
 #include <cassert>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -11,6 +13,49 @@
 #endif
 
 #include "trace/trace.hpp"
+
+#ifdef NBCTUNE_FIBER_ASM_SWITCH
+// Saves the callee-saved registers of the x86-64 SysV ABI (rbp, rbx,
+// r12-r15) and a 16-byte control slot (MXCSR at +0, x87 control word at +4)
+// on the current stack, stores rsp to *save_sp, loads load_sp into rsp and
+// restores the same frame from there.  Returns into whatever the loaded
+// stack's frame returns to.  Frame, from the saved rsp upwards:
+//   +0 MXCSR, +4 x87 CW, +16 r15, +24 r14, +32 r13, +40 r12, +48 rbx,
+//   +56 rbp, +64 return address.
+extern "C" void nbctune_ctx_switch(void** save_sp, void* load_sp);
+
+asm(R"(
+    .pushsection .text
+    .globl nbctune_ctx_switch
+    .hidden nbctune_ctx_switch
+    .type nbctune_ctx_switch, @function
+    .p2align 4
+nbctune_ctx_switch:
+    pushq %rbp
+    pushq %rbx
+    pushq %r12
+    pushq %r13
+    pushq %r14
+    pushq %r15
+    subq $16, %rsp
+    stmxcsr (%rsp)
+    fnstcw 4(%rsp)
+    movq %rsp, (%rdi)
+    movq %rsi, %rsp
+    ldmxcsr (%rsp)
+    fldcw 4(%rsp)
+    addq $16, %rsp
+    popq %r15
+    popq %r14
+    popq %r13
+    popq %r12
+    popq %rbx
+    popq %rbp
+    ret
+    .size nbctune_ctx_switch, .-nbctune_ctx_switch
+    .popsection
+)");
+#endif
 
 namespace nbctune::sim {
 
@@ -52,11 +97,29 @@ Fiber::Fiber(Fn fn, std::size_t stack_bytes) : fn_(std::move(fn)) {
   if (stack_bytes == 0) stack_bytes = default_fiber_stack_bytes();
   stack_ = allocate_stack(stack_bytes);
   trace::count(trace::Ctr::SimFibersCreated);
+#ifdef NBCTUNE_FIBER_ASM_SWITCH
+  // Lay out the frame nbctune_ctx_switch restores on the first resume():
+  // this thread's floating-point control words, six zeroed registers, the
+  // trampoline as return address, and a zero fake return address above it,
+  // so the trampoline starts with rsp == 8 (mod 16) as if it had been called.
+  auto top = reinterpret_cast<std::uintptr_t>(stack_.get() + stack_bytes) &
+             ~std::uintptr_t{15};
+  auto* frame = reinterpret_cast<std::uint64_t*>(top) - 10;
+  std::memset(frame, 0, 10 * sizeof(std::uint64_t));
+  frame[8] = reinterpret_cast<std::uint64_t>(&Fiber::trampoline);
+  std::uint32_t mxcsr = 0;
+  std::uint16_t x87cw = 0;
+  asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(x87cw));
+  std::memcpy(frame, &mxcsr, sizeof mxcsr);
+  std::memcpy(reinterpret_cast<char*>(frame) + 4, &x87cw, sizeof x87cw);
+  sp_ = frame;
+#else
   if (getcontext(&ctx_) != 0) throw std::runtime_error("getcontext failed");
   ctx_.uc_stack.ss_sp = stack_.get();
   ctx_.uc_stack.ss_size = stack_bytes;
   ctx_.uc_link = &return_ctx_;
   makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 0);
+#endif
 #ifdef NBCTUNE_FIBER_ASAN
   stack_bytes_ = stack_bytes;
 #endif
@@ -90,7 +153,14 @@ void Fiber::trampoline() {
   __sanitizer_start_switch_fiber(nullptr, self->sched_stack_bottom_,
                                  self->sched_stack_size_);
 #endif
+#ifdef NBCTUNE_FIBER_ASM_SWITCH
+  // The trampoline has no caller to return to: switch back into resume()
+  // for good.
+  nbctune_ctx_switch(&self->sp_, self->return_sp_);
+  __builtin_unreachable();
+#else
   // uc_link returns to return_ctx_ (inside resume()).
+#endif
 }
 
 void Fiber::resume() {
@@ -105,7 +175,11 @@ void Fiber::resume() {
   __sanitizer_start_switch_fiber(&sched_fake_stack_, stack_.get(),
                                  stack_bytes_);
 #endif
+#ifdef NBCTUNE_FIBER_ASM_SWITCH
+  nbctune_ctx_switch(&return_sp_, sp_);
+#else
   swapcontext(&return_ctx_, &ctx_);
+#endif
 #ifdef NBCTUNE_FIBER_ASAN
   __sanitizer_finish_switch_fiber(sched_fake_stack_, nullptr, nullptr);
 #endif
@@ -125,7 +199,11 @@ void Fiber::yield() {
   __sanitizer_start_switch_fiber(&fiber_fake_stack_, sched_stack_bottom_,
                                  sched_stack_size_);
 #endif
+#ifdef NBCTUNE_FIBER_ASM_SWITCH
+  nbctune_ctx_switch(&sp_, return_sp_);
+#else
   swapcontext(&ctx_, &return_ctx_);
+#endif
 #ifdef NBCTUNE_FIBER_ASAN
   __sanitizer_finish_switch_fiber(fiber_fake_stack_, &sched_stack_bottom_,
                                   &sched_stack_size_);

@@ -1,19 +1,28 @@
 #pragma once
 
-// Cooperative user-space fibers built on POSIX ucontext.
+// Cooperative user-space fibers with a register-only context switch.
 //
 // The simulation runs every simulated rank as one fiber.  Exactly one fiber
 // executes at any time; the scheduler (the "main" context) resumes a fiber,
 // and the fiber returns control by yielding.  This gives deterministic,
 // single-threaded execution with cheap context switches, which matters on
 // the single-core hosts this simulator targets.
+//
+// On x86-64 ELF targets a switch saves only the callee-saved registers plus
+// the MXCSR and x87 control words on the outgoing stack and swaps stack
+// pointers: no system call (glibc's swapcontext makes an rt_sigprocmask
+// call on every switch).  Other targets fall back to POSIX ucontext.
 
 #include <cstddef>
 #include <exception>
 #include <functional>
 #include <memory>
 
+#if defined(__x86_64__) && defined(__ELF__)
+#define NBCTUNE_FIBER_ASM_SWITCH 1
+#else
 #include <ucontext.h>
+#endif
 
 // AddressSanitizer must be told about stack switches, or unwinding on a
 // fiber stack (e.g. an exception thrown by a simulated rank) is reported
@@ -80,8 +89,13 @@ class Fiber {
 
   Fn fn_;
   std::unique_ptr<char[]> stack_;
+#ifdef NBCTUNE_FIBER_ASM_SWITCH
+  void* sp_ = nullptr;         // the fiber's saved stack pointer
+  void* return_sp_ = nullptr;  // where to go back on yield/finish
+#else
   ucontext_t ctx_{};      // the fiber's own context
   ucontext_t return_ctx_{};  // where to go back on yield/finish
+#endif
   bool started_ = false;
   bool finished_ = false;
   bool running_ = false;

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -70,6 +73,137 @@ TEST(Fiber, NestedFibers) {
   });
   outer.resume();
   EXPECT_EQ(trace, (std::vector<int>{1, 2, 3}));
+}
+
+namespace {
+// Address of a 16-byte-aligned local in a fresh frame.  The compiler only
+// places the local at a 16-byte offset from the frame, so the address is
+// aligned only if the stack pointer obeyed the ABI on entry; the volatile
+// keeps the check from being folded away.
+[[gnu::noinline]] std::uintptr_t aligned_local_address() {
+  alignas(16) unsigned char local[16] = {};
+  volatile std::uintptr_t addr = reinterpret_cast<std::uintptr_t>(local);
+  return addr;
+}
+
+[[gnu::noinline]] int recurse_then_throw(int depth) {
+  volatile char pad[64] = {};  // real frames, not a tail loop
+  if (depth == 0) throw std::runtime_error("deep");
+  sim::Fiber::current()->yield();
+  return pad[0] + recurse_then_throw(depth - 1);
+}
+
+std::uint64_t mix(std::uint64_t x) {
+  return x * 6364136223846793005ULL + 1442695040888963407ULL;
+}
+}  // namespace
+
+TEST(Fiber, StackStaysSixteenByteAlignedAcrossYields) {
+  std::vector<std::uintptr_t> seen;
+  sim::Fiber f([&] {
+    for (int i = 0; i < 5; ++i) {
+      seen.push_back(aligned_local_address());
+      sim::Fiber::current()->yield();
+    }
+  });
+  while (!f.finished()) f.resume();
+  ASSERT_EQ(seen.size(), 5u);
+  for (std::uintptr_t a : seen) EXPECT_EQ(a % 16, 0u) << std::hex << a;
+}
+
+TEST(Fiber, LocalsSurviveInterleavedSwitches) {
+  // Many live integer locals across yield() force the callee-saved
+  // registers into use; doubles live across a call are spilled to the
+  // fiber's stack.  Each fiber must end with exactly the values a plain
+  // call computes.
+  constexpr int kFibers = 64;
+  constexpr int kRounds = 50;
+  auto body = [](int id, bool yield, std::uint64_t& ints, double& dbl) {
+    std::uint64_t a = id + 1, b = a * 3, c = a * 5, d = a * 7, e = a * 11,
+                  g = a * 13;
+    double x = id * 0.25, y = 1.0 / (id + 1);
+    for (int k = 0; k < kRounds; ++k) {
+      if (yield) sim::Fiber::current()->yield();
+      a = mix(a);
+      b ^= a;
+      c += b;
+      d = mix(d ^ c);
+      e -= d;
+      g = mix(g + e);
+      x = x * 1.000001 + y;
+      y = y * 0.999 + 0.5;
+    }
+    ints = a ^ b ^ c ^ d ^ e ^ g;
+    dbl = x + y;
+  };
+  std::vector<std::uint64_t> ints(kFibers), want_ints(kFibers);
+  std::vector<double> dbls(kFibers), want_dbls(kFibers);
+  std::vector<std::unique_ptr<sim::Fiber>> fibers;
+  for (int i = 0; i < kFibers; ++i) {
+    body(i, false, want_ints[i], want_dbls[i]);
+    fibers.push_back(std::make_unique<sim::Fiber>(
+        [&, i] { body(i, true, ints[i], dbls[i]); }));
+  }
+  for (bool any = true; any;) {
+    any = false;
+    for (auto& f : fibers) {
+      if (f->finished()) continue;
+      f->resume();
+      any = true;
+    }
+  }
+  EXPECT_EQ(ints, want_ints);
+  EXPECT_EQ(dbls, want_dbls);
+}
+
+TEST(Fiber, EachFiberKeepsItsOwnRoundingMode) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  // 1/3 through SSE (MXCSR) arithmetic; volatile stops constant folding.
+  volatile double one = 1.0, three = 3.0;
+  const double nearest = one / three;
+  const int modes[] = {FE_UPWARD, FE_DOWNWARD, FE_TOWARDZERO, FE_TONEAREST};
+  constexpr int kModes = 4;
+  std::vector<double> first(kModes);
+  std::vector<int> bad(kModes, 0);
+  std::vector<std::unique_ptr<sim::Fiber>> fibers;
+  for (int i = 0; i < kModes; ++i) {
+    fibers.push_back(std::make_unique<sim::Fiber>([&, i] {
+      std::fesetround(modes[i]);
+      first[i] = one / three;
+      for (int k = 0; k < 4; ++k) {
+        sim::Fiber::current()->yield();
+        if (std::fegetround() != modes[i] || one / three != first[i]) ++bad[i];
+      }
+    }));
+  }
+  for (int k = 0; k < 5; ++k) {
+    for (auto& f : fibers) {
+      f->resume();
+      EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+      EXPECT_EQ(one / three, nearest);
+    }
+  }
+  for (auto& f : fibers) EXPECT_TRUE(f->finished());
+  EXPECT_EQ(bad, std::vector<int>(kModes, 0));
+  EXPECT_GT(first[0], first[1]);  // upward vs downward really differ
+  EXPECT_EQ(first[3], nearest);
+}
+
+TEST(Fiber, ExceptionFromDeepRecursionAfterYieldsReachesResume) {
+  constexpr int kDepth = 200;
+  sim::Fiber f([] { recurse_then_throw(kDepth); });
+  for (int i = 0; i < kDepth; ++i) {
+    f.resume();
+    ASSERT_FALSE(f.finished());
+  }
+  try {
+    f.resume();
+    FAIL() << "resume() did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "deep");
+  }
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(sim::Fiber::current(), nullptr);
 }
 
 // ---------------------------------------------------------------- Engine
