@@ -9,6 +9,7 @@
 #include "adcl/functionsets.hpp"
 #include "adcl/selection.hpp"
 #include "coll/ialltoall.hpp"
+#include "fft/fft1d.hpp"
 #include "harness/microbench.hpp"
 #include "harness/scenario_pool.hpp"
 #include "mpi/world.hpp"
@@ -283,5 +284,45 @@ BENCHMARK(BM_SelectionPolicy)
     ->Arg(static_cast<int>(adcl::PolicyKind::BruteForce))
     ->Arg(static_cast<int>(adcl::PolicyKind::AttributeHeuristic))
     ->Arg(static_cast<int>(adcl::PolicyKind::TwoKFactorial));
+
+// Local FFT cost: the serial transforms the 3-D kernel runs in real-math
+// mode, with the plan built once outside the timed loop as Fft3d does.
+// Each iteration is a forward and an inverse transform, so the data stay
+// bounded however long the loop runs.
+static void BM_Fft1d(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const fft::Plan plan(n);
+  std::vector<fft::cplx> v(n, fft::cplx(1.0, -0.5));
+  for (auto _ : state) {
+    plan.execute(v.data());
+    plan.execute(v.data(), /*inverse=*/true);
+    benchmark::DoNotOptimize(v.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2);
+  state.SetLabel("transforms/s");
+}
+BENCHMARK(BM_Fft1d)->Arg(32)->Arg(1024)->Arg(100);  // 100: Bluestein
+
+// One 32 x 32 plane of the 3-D kernel: rows one by one, then all columns
+// as one batch, forward and inverse.
+static void BM_FftPlane(benchmark::State& state) {
+  const std::size_t n = 32;
+  const fft::Plan plan(n);
+  std::vector<fft::cplx> plane(n * n, fft::cplx(1.0, -0.5));
+  for (auto _ : state) {
+    for (bool inverse : {false, true}) {
+      for (std::size_t y = 0; y < n; ++y) {
+        plan.execute(plane.data() + y * n, inverse);
+      }
+      plan.execute_batch(plane.data(), n, n, inverse);
+    }
+    benchmark::DoNotOptimize(plane.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2);
+  state.SetLabel("2-D transforms/s");
+}
+BENCHMARK(BM_FftPlane);
 
 BENCHMARK_MAIN();

@@ -78,6 +78,7 @@ Fft3d::Fft3d(mpi::Ctx& ctx, mpi::Comm comm, Fft3dOptions opt)
   if (payload) {
     planes_data_.resize(std::size_t(planes_) * opt_.n * opt_.n);
     pencils_.resize(std::size_t(width_) * opt_.n * opt_.n);
+    plan_.emplace(opt_.n);
   }
 
   if (opt_.backend != Backend::Blocking) {
@@ -250,13 +251,8 @@ void Fft3d::run_iteration() {
       for (int zl = 0; zl < tile_planes_; ++zl) {
         cplx* plane = planes_data_.data() +
                       (std::size_t(tile) * tile_planes_ + zl) * n * n;
-        for (int y = 0; y < n; ++y) fft(plane + std::size_t(y) * n, n);
-        std::vector<cplx> col(n);
-        for (int x = 0; x < n; ++x) {
-          for (int y = 0; y < n; ++y) col[y] = plane[std::size_t(y) * n + x];
-          fft(col.data(), n);
-          for (int y = 0; y < n; ++y) plane[std::size_t(y) * n + x] = col[y];
-        }
+        for (int y = 0; y < n; ++y) plan_->execute(plane + std::size_t(y) * n);
+        plan_->execute_batch(plane, n, n);  // all n columns at once
       }
     }
     const int slot = tile % window_;
@@ -273,7 +269,7 @@ void Fft3d::run_iteration() {
   if (opt_.real_math) {
     for (int xl = 0; xl < width_; ++xl) {
       for (int y = 0; y < n; ++y) {
-        fft(pencils_.data() + (std::size_t(xl) * n + y) * n, n);
+        plan_->execute(pencils_.data() + (std::size_t(xl) * n + y) * n);
       }
     }
   }
@@ -296,8 +292,8 @@ void Fft3d::run_inverse_iteration() {
   if (opt_.real_math) {
     for (int xl = 0; xl < width_; ++xl) {
       for (int y = 0; y < n; ++y) {
-        fft(pencils_.data() + (std::size_t(xl) * n + y) * n, n,
-            /*inverse=*/true);
+        plan_->execute(pencils_.data() + (std::size_t(xl) * n + y) * n,
+                       /*inverse=*/true);
       }
     }
   }
@@ -317,16 +313,11 @@ void Fft3d::run_inverse_iteration() {
   // 2-D inverse FFTs on the reassembled planes.
   chunked_compute(tiles_ * tile_2d_cost, false);
   if (opt_.real_math) {
-    std::vector<cplx> col(n);
     for (int zl = 0; zl < planes_; ++zl) {
       cplx* plane = planes_data_.data() + std::size_t(zl) * n * n;
-      for (int x = 0; x < n; ++x) {
-        for (int y = 0; y < n; ++y) col[y] = plane[std::size_t(y) * n + x];
-        fft(col.data(), n, /*inverse=*/true);
-        for (int y = 0; y < n; ++y) plane[std::size_t(y) * n + x] = col[y];
-      }
+      plan_->execute_batch(plane, n, n, /*inverse=*/true);
       for (int y = 0; y < n; ++y) {
-        fft(plane + std::size_t(y) * n, n, /*inverse=*/true);
+        plan_->execute(plane + std::size_t(y) * n, /*inverse=*/true);
       }
     }
   }

@@ -29,6 +29,7 @@
 
 #include <complex>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "adcl/adcl.hpp"
@@ -138,6 +139,7 @@ class Fft3d {
 
   std::vector<cplx> planes_data_;  // [zl][y][x] (real math)
   std::vector<cplx> pencils_;      // [xl][y][z] (real math)
+  std::optional<Plan> plan_;       // length-N transform (real math)
 };
 
 }  // namespace nbctune::fft

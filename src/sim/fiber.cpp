@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <string>
 
+#include <unistd.h>
+
 #ifdef NBCTUNE_FIBER_ASAN
 #include <sanitizer/common_interface_defs.h>
 #endif
@@ -66,15 +68,39 @@ thread_local Fiber* g_current = nullptr;
 constexpr std::size_t kFallbackStackBytes = 256 * 1024;
 constexpr std::size_t kMinStackBytes = 16 * 1024;
 
+/// Physical memory in bytes, 0 if unknown.  Read once: sysconf makes a
+/// system call, and worlds create fibers by the thousand.
+std::size_t physical_memory_bytes() {
+  static const std::size_t bytes = [] {
+    const long pages = sysconf(_SC_PHYS_PAGES);
+    const long page_bytes = sysconf(_SC_PAGESIZE);
+    return pages > 0 && page_bytes > 0
+               ? static_cast<std::size_t>(pages) *
+                     static_cast<std::size_t>(page_bytes)
+               : std::size_t{0};
+  }();
+  return bytes;
+}
+
 std::unique_ptr<char[]> allocate_stack(std::size_t stack_bytes) {
+  const auto fail = [stack_bytes](const char* why) {
+    return std::runtime_error(
+        "fiber: cannot allocate a " + std::to_string(stack_bytes) +
+        "-byte stack (" + why + "); lower NBCTUNE_FIBER_STACK, shrink the "
+        "world, or run the scenario with --exec=machine, which creates no "
+        "fibers");
+  };
+  // Refuse a stack larger than physical memory before asking for it: it
+  // could never be backed, and sanitizer allocators abort on such a
+  // request instead of throwing std::bad_alloc.
+  const std::size_t physical = physical_memory_bytes();
+  if (physical > 0 && stack_bytes > physical) {
+    throw fail("more than physical memory");
+  }
   try {
     return std::unique_ptr<char[]>(new char[stack_bytes]);
   } catch (const std::bad_alloc&) {
-    throw std::runtime_error(
-        "fiber: cannot allocate a " + std::to_string(stack_bytes) +
-        "-byte stack (out of memory); lower NBCTUNE_FIBER_STACK, shrink the "
-        "world, or run the scenario with --exec=machine, which creates no "
-        "fibers");
+    throw fail("out of memory");
   }
 }
 }  // namespace

@@ -86,6 +86,30 @@ TEST_P(FftSizes, InverseRoundTrips) {
   EXPECT_LT(max_err(sig, orig), 1e-10 * double(n + 1));
 }
 
+TEST_P(FftSizes, BatchedColumnsMatchReference) {
+  // execute_batch on 3 interleaved vectors at row stride 5: each column
+  // matches its own reference DFT both ways, and the two padding columns
+  // of every row are left alone.
+  const std::size_t n = GetParam(), count = 3, ld = 5;
+  const fft::Plan plan(n);
+  for (bool inverse : {false, true}) {
+    const auto orig = random_signal(n * ld, unsigned(n) + 31);
+    auto data = orig;
+    plan.execute_batch(data.data(), count, ld, inverse);
+    for (std::size_t c = 0; c < ld; ++c) {
+      std::vector<cplx> col(n), have(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        col[j] = orig[j * ld + c];
+        have[j] = data[j * ld + c];
+      }
+      const auto want =
+          c < count ? fft::dft_reference(col.data(), n, inverse) : col;
+      EXPECT_LT(max_err(have, want), 1e-9 * double(n))
+          << "n=" << n << " column " << c << " inverse=" << inverse;
+    }
+  }
+}
+
 TEST(Fft1d, Pow2RejectsOddSizes) {
   std::vector<cplx> v(6);
   EXPECT_THROW(fft::fft_pow2(v.data(), 6), std::invalid_argument);
@@ -132,20 +156,23 @@ TEST(Fft1d, NextPow2) {
 
 // ---------------------------------------------------------- distributed
 
-class Fft3dCorrectness
-    : public ::testing::TestWithParam<std::tuple<fft::Pattern, fft::Backend, int>> {
-};
+// (pattern, back-end, ranks, grid size N)
+using Fft3dParam = std::tuple<fft::Pattern, fft::Backend, int, int>;
+
+class Fft3dCorrectness : public ::testing::TestWithParam<Fft3dParam> {};
 
 static std::string fft3d_name(
-    const ::testing::TestParamInfo<std::tuple<fft::Pattern, fft::Backend, int>>&
-        info) {
+    const ::testing::TestParamInfo<Fft3dParam>& info) {
   std::string s = fft::pattern_name(std::get<0>(info.param));
   for (auto& c : s)
     if (c == '-') c = '_';
   std::string b = fft::backend_name(std::get<1>(info.param));
   for (auto& c : b)
     if (c == '(' || c == ')') c = '_';
-  return s + "_" + b + "_p" + std::to_string(std::get<2>(info.param));
+  // N = 8 keeps the suite's original, size-free names.
+  const int n = std::get<3>(info.param);
+  return s + "_" + b + "_p" + std::to_string(std::get<2>(info.param)) +
+         (n == 8 ? "" : "_n" + std::to_string(n));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -157,12 +184,14 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(fft::Backend::Blocking,
                                          fft::Backend::LibNBC,
                                          fft::Backend::Adcl),
-                       ::testing::Values(2, 4)),
+                       ::testing::Values(2, 4),
+                       // Radix-2 at 8 and 32 (the benchmark's grid),
+                       // Bluestein at 12.
+                       ::testing::Values(8, 12, 32)),
     fft3d_name);
 
 TEST_P(Fft3dCorrectness, MatchesSerialReference) {
-  const auto [pattern, backend, nprocs] = GetParam();
-  const int n = 8;
+  const auto [pattern, backend, nprocs, n] = GetParam();
   // Global input and its serial transform.
   auto global = random_signal(std::size_t(n) * n * n, 99);
   auto expect = fft3d_serial(global, n);
@@ -171,7 +200,7 @@ TEST_P(Fft3dCorrectness, MatchesSerialReference) {
   const int width = n / nprocs;
   std::vector<std::vector<cplx>> got(nprocs);
   t::run_world(net::whale(), nprocs,
-               [&, pattern = pattern, backend = backend](mpi::Ctx& ctx) {
+               [&, pattern = pattern, backend = backend, n = n](mpi::Ctx& ctx) {
                  fft::Fft3dOptions opt;
                  opt.n = n;
                  opt.pattern = pattern;

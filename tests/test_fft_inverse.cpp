@@ -31,20 +31,22 @@ std::vector<cplx> random_grid(int n, unsigned seed) {
 
 }  // namespace
 
-class Fft3dRoundTrip
-    : public ::testing::TestWithParam<std::tuple<fft::Pattern, fft::Backend>> {
-};
+// (pattern, back-end, grid size N)
+using RoundTripParam = std::tuple<fft::Pattern, fft::Backend, int>;
+
+class Fft3dRoundTrip : public ::testing::TestWithParam<RoundTripParam> {};
 
 static std::string rt_name(
-    const ::testing::TestParamInfo<std::tuple<fft::Pattern, fft::Backend>>&
-        info) {
+    const ::testing::TestParamInfo<RoundTripParam>& info) {
   std::string s = fft::pattern_name(std::get<0>(info.param));
   for (auto& c : s)
     if (c == '-') c = '_';
   std::string b = fft::backend_name(std::get<1>(info.param));
   for (auto& c : b)
     if (c == '(' || c == ')') c = '_';
-  return s + "_" + b;
+  // N = 8 keeps the suite's original, size-free names.
+  const int n = std::get<2>(info.param);
+  return s + "_" + b + (n == 8 ? "" : "_n" + std::to_string(n));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -55,18 +57,20 @@ INSTANTIATE_TEST_SUITE_P(
                                          fft::Pattern::WindowTiled),
                        ::testing::Values(fft::Backend::Blocking,
                                          fft::Backend::LibNBC,
-                                         fft::Backend::Adcl)),
+                                         fft::Backend::Adcl),
+                       // Radix-2 at 8 and 32 (the benchmark's grid),
+                       // Bluestein at 12.
+                       ::testing::Values(8, 12, 32)),
     rt_name);
 
 TEST_P(Fft3dRoundTrip, ForwardInverseIsIdentity) {
-  const auto [pattern, backend] = GetParam();
-  const int n = 8;
+  const auto [pattern, backend, n] = GetParam();
   const int nprocs = 4;
   const int planes = n / nprocs;
   const auto global = random_grid(n, 123);
   std::vector<double> errs(nprocs, 0.0);
   t::run_world(net::whale(), nprocs,
-               [&, pattern = pattern, backend = backend](mpi::Ctx& ctx) {
+               [&, pattern = pattern, backend = backend, n = n](mpi::Ctx& ctx) {
                  fft::Fft3dOptions opt;
                  opt.n = n;
                  opt.pattern = pattern;
