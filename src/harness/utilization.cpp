@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <string>
 
 #include "harness/table.hpp"
 
@@ -14,21 +15,23 @@ UtilizationReport utilization_report(mpi::World& world, double elapsed) {
   report.ctrl_messages = world.total_ctrl_msgs();
   net::Machine& machine = world.machine();
   const auto& p = machine.platform();
-  auto add = [&](const sim::Resource& r) {
+  auto add = [&](const sim::Resource& r, const std::string& name) {
     if (r.reservations() == 0) return;
     ResourceUsage u;
-    u.name = r.name();
+    u.name = name;
     u.busy_seconds = r.busy_total();
     u.busy_fraction = elapsed > 0 ? r.busy_total() / elapsed : 0.0;
     u.reservations = r.reservations();
     report.resources.push_back(std::move(u));
   };
   for (int node = 0; node < p.nodes; ++node) {
+    const std::string n = std::to_string(node);
     for (int nic = 0; nic < p.nics_per_node; ++nic) {
-      add(machine.nic_tx(node, nic));
-      add(machine.nic_rx(node, nic));
+      const std::string i = std::to_string(nic);
+      add(machine.nic_tx(node, nic), "tx:" + n + ":" + i);
+      add(machine.nic_rx(node, nic), "rx:" + n + ":" + i);
     }
-    add(machine.mem(node));
+    add(machine.mem(node), "mem:" + n);
   }
   std::stable_sort(report.resources.begin(), report.resources.end(),
                    [](const ResourceUsage& a, const ResourceUsage& b) {

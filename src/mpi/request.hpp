@@ -54,8 +54,6 @@ struct Request {
   const void* send_buf = nullptr;
   void* recv_buf = nullptr;
 
-  std::uint64_t post_seq = 0;  ///< matching order among posted receives
-
   /// For rendezvous: identifies this request to the peer (packed handle).
   std::uint64_t match_id = 0;
   /// For senders: the receiver-side request the bulk completes (from CTS).

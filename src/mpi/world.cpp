@@ -10,7 +10,6 @@
 namespace nbctune::mpi {
 
 using detail::Envelope;
-using detail::MatchKey;
 using detail::RankState;
 
 namespace {
@@ -22,6 +21,12 @@ std::uint32_t match_index(std::uint64_t m) noexcept {
 }
 std::uint32_t match_gen(std::uint64_t m) noexcept {
   return static_cast<std::uint32_t>(m);
+}
+
+/// MPI matching: same context, and tag and source equal or wildcarded.
+bool matches(const Request& r, const Envelope& env) noexcept {
+  return r.context == env.context && (r.tag == kAnyTag || r.tag == env.tag) &&
+         (r.peer == kAnySource || r.peer == env.src);
 }
 }  // namespace
 
@@ -324,6 +329,7 @@ sim::Time World::ship(Envelope env, sim::Time earliest) {
                        static_cast<std::uint64_t>(env.dst), "bytes",
                        env.bytes, env.seq);
       }
+      recycle(env.payload);
       return local_done;
     }
     const double lat = machine_.latency(src_node, dst_node) * lat_mult;
@@ -348,17 +354,49 @@ sim::Time World::ship(Envelope env, sim::Time earliest) {
       }
       auto rx2 = machine_.reserve_rx(dst_node, rnic, rx.end, rx_time,
                                      "wire.dup", wire_bytes, env.seq);
-      auto boxed2 = std::make_shared<Envelope>(env);
-      engine_.schedule_at(rx2.end,
-                          [this, boxed2] { deliver(std::move(*boxed2)); });
+      const std::uint32_t dup = park(Envelope(env));
+      engine_.schedule_at(rx2.end, [this, dup] { deliver(unpark(dup)); });
     }
   }
-  auto boxed = std::make_shared<Envelope>(std::move(env));
-  engine_.schedule_at(arrival, [this, boxed, data, dst_node] {
+  const std::uint32_t slot = park(std::move(env));
+  engine_.schedule_at(arrival, [this, slot, data, dst_node] {
     if (data) machine_.remove_inflight(dst_node);
-    deliver(std::move(*boxed));
+    deliver(unpark(slot));
   });
   return local_done;
+}
+
+std::uint32_t World::park(Envelope&& env) {
+  if (free_in_flight_.empty()) {
+    in_flight_.push_back(std::move(env));
+    return static_cast<std::uint32_t>(in_flight_.size() - 1);
+  }
+  const std::uint32_t slot = free_in_flight_.back();
+  free_in_flight_.pop_back();
+  in_flight_[slot] = std::move(env);
+  return slot;
+}
+
+Envelope World::unpark(std::uint32_t slot) {
+  free_in_flight_.push_back(slot);
+  return std::move(in_flight_[slot]);
+}
+
+std::vector<std::byte> World::payload_copy(const void* buf, std::size_t bytes) {
+  std::vector<std::byte> payload;
+  if (!spare_payloads_.empty()) {
+    payload = std::move(spare_payloads_.back());
+    spare_payloads_.pop_back();
+  }
+  const auto* first = static_cast<const std::byte*>(buf);
+  payload.assign(first, first + bytes);
+  return payload;
+}
+
+void World::recycle(std::vector<std::byte>& payload) {
+  if (payload.capacity() == 0) return;
+  payload.clear();
+  spare_payloads_.push_back(std::move(payload));
 }
 
 void World::deliver(Envelope env) {
@@ -389,12 +427,12 @@ void World::deliver(Envelope env) {
                          env.seq);
         }
         send_ack(env);
+        recycle(env.payload);
         return;
       }
       send_ack(env);
     }
   }
-  env.arrival_seq = dst.next_arrival_seq++;
   if (trace::active()) {
     trace::instant(engine_.now(), dst_rank, trace::Cat::Msg, "msg.deliver",
                    "src", static_cast<std::uint64_t>(env.src), "bytes",
@@ -577,8 +615,7 @@ Envelope World::rebuild_envelope(int wrank, Req h, const Request& r) {
       env.kind = Envelope::Kind::Eager;
       env.match_id = pack_match(h);
       if (r.send_buf != nullptr && r.bytes > 0) {
-        env.payload.resize(r.bytes);
-        std::memcpy(env.payload.data(), r.send_buf, r.bytes);
+        env.payload = payload_copy(r.send_buf, r.bytes);
       }
       break;
     case RexmitKind::Rts:
@@ -750,8 +787,7 @@ Req Ctx::post_isend(const Comm& comm, const void* buf, std::size_t bytes,
         static_cast<double>(bytes) * p.copy_byte_time;
     env.kind = Envelope::Kind::Eager;
     if (buf != nullptr && bytes > 0) {
-      env.payload.resize(bytes);
-      std::memcpy(env.payload.data(), buf, bytes);
+      env.payload = world_.payload_copy(buf, bytes);
     }
     const bool tracked =
         world_.lossy() && !same_node && tag < kReliableTagBase;
@@ -828,54 +864,40 @@ Req Ctx::post_irecv(const Comm& comm, void* buf, std::size_t bytes, int src,
   r.rail = rail;
   r.bytes = bytes;
   r.recv_buf = buf;
-  r.post_seq = rs.next_post_seq++;
   r.state = ReqState::Posted;
   ++rs.outstanding;
   cpu_cost += world_.platform().per_req_poll_cost;
 
-  if (try_match_unexpected(h, cpu_cost)) return h;
-
-  if (src_w == kAnySource || tag == kAnyTag) {
-    rs.wildcard_posted.push_back(h);
-  } else {
-    rs.exact_posted[MatchKey{comm.context(), tag, src_w}].push_back(h);
-  }
+  if (!try_match_unexpected(h, cpu_cost)) rs.posted.push_back(h);
   return h;
 }
 
 bool Ctx::try_match_unexpected(Req rh, double& cpu_cost) {
   RankState& rs = st();
-  Request& r = rs.pool.get(rh);
-  Envelope env;
-  if (r.peer != kAnySource && r.tag != kAnyTag) {
-    auto it = rs.unexpected.find(MatchKey{r.context, r.tag, r.peer});
-    if (it == rs.unexpected.end() || it->second.empty()) return false;
-    env = std::move(it->second.front());
-    it->second.pop_front();
-    if (it->second.empty()) rs.unexpected.erase(it);
-  } else {
-    // Wildcard: earliest arrival among all matching queues.
-    std::map<MatchKey, std::deque<Envelope>>::iterator best =
-        rs.unexpected.end();
-    for (auto it = rs.unexpected.begin(); it != rs.unexpected.end(); ++it) {
-      const MatchKey& k = it->first;
-      if (k.context != r.context) continue;
-      if (r.tag != kAnyTag && k.tag != r.tag) continue;
-      if (r.peer != kAnySource && k.src != r.peer) continue;
-      if (it->second.empty()) continue;
-      if (best == rs.unexpected.end() ||
-          it->second.front().arrival_seq < best->second.front().arrival_seq) {
-        best = it;
-      }
-    }
-    if (best == rs.unexpected.end()) return false;
-    env = std::move(best->second.front());
-    best->second.pop_front();
-    if (best->second.empty()) rs.unexpected.erase(best);
-  }
+  const Request& r = rs.pool.get(rh);
+  auto& v = rs.unexpected;
+  const auto it = std::find_if(v.begin(), v.end(), [&](const Envelope& env) {
+    return matches(r, env);
+  });
+  if (it == v.end()) return false;
+  Envelope env = std::move(*it);
+  v.erase(it);
+  accept(rh, env, cpu_cost);
+  return true;
+}
 
+void Ctx::accept(Req rh, Envelope& env, double& cpu_cost) {
+  RankState& rs = st();
+  Request& r = rs.pool.get(rh);
   if (env.bytes > r.bytes) {
-    throw std::length_error("recv buffer smaller than incoming message");
+    throw std::length_error(
+        "recv buffer smaller than incoming message (dst=" +
+        std::to_string(wrank_) + " src=" + std::to_string(env.src) +
+        " tag=" + std::to_string(env.tag) + " ctx=" +
+        std::to_string(env.context) + " kind=" +
+        std::to_string(int(env.kind)) + " env.bytes=" +
+        std::to_string(env.bytes) + " posted.bytes=" +
+        std::to_string(r.bytes) + ")");
   }
   if (env.kind == Envelope::Kind::Eager) {
     const auto& p = world_.platform();
@@ -886,6 +908,7 @@ bool Ctx::try_match_unexpected(Req rh, double& cpu_cost) {
     if (r.recv_buf != nullptr && !env.payload.empty()) {
       std::memcpy(r.recv_buf, env.payload.data(), env.payload.size());
     }
+    world_.recycle(env.payload);
     r.peer = env.src;
     r.status = Status{env.src, env.tag, env.bytes};
     r.complete = true;
@@ -894,7 +917,6 @@ bool Ctx::try_match_unexpected(Req rh, double& cpu_cost) {
     assert(env.kind == Envelope::Kind::Rts);
     send_cts(env, rh, cpu_cost);
   }
-  return true;
 }
 
 void Ctx::send_cts(const Envelope& rts, Req rh, double& cpu_cost) {
@@ -970,69 +992,17 @@ void Ctx::handle_envelope(Envelope& env, double& cpu_cost) {
   }
 
   // Eager data or RTS: match against posted receives.
-  Req matched{};
-  bool have = false;
-  auto exact_it = rs.exact_posted.find(MatchKey{env.context, env.tag, env.src});
-  std::uint64_t exact_seq = UINT64_MAX;
-  if (exact_it != rs.exact_posted.end() && !exact_it->second.empty()) {
-    exact_seq = rs.pool.get(exact_it->second.front()).post_seq;
-  }
-  std::size_t wild_pos = SIZE_MAX;
-  std::uint64_t wild_seq = UINT64_MAX;
-  for (std::size_t i = 0; i < rs.wildcard_posted.size(); ++i) {
-    Request& r = rs.pool.get(rs.wildcard_posted[i]);
-    if (r.context != env.context) continue;
-    if (r.tag != kAnyTag && r.tag != env.tag) continue;
-    if (r.peer != kAnySource && r.peer != env.src) continue;
-    wild_pos = i;
-    wild_seq = r.post_seq;
-    break;  // wildcard_posted is in posting order
-  }
-  if (exact_seq != UINT64_MAX && exact_seq <= wild_seq) {
-    matched = exact_it->second.front();
-    exact_it->second.pop_front();
-    if (exact_it->second.empty()) rs.exact_posted.erase(exact_it);
-    have = true;
-  } else if (wild_pos != SIZE_MAX) {
-    matched = rs.wildcard_posted[wild_pos];
-    rs.wildcard_posted.erase(rs.wildcard_posted.begin() +
-                             static_cast<std::ptrdiff_t>(wild_pos));
-    have = true;
-  }
-
-  if (!have) {
-    rs.unexpected[MatchKey{env.context, env.tag, env.src}].push_back(
-        std::move(env));
+  auto& v = rs.posted;
+  const auto it = std::find_if(v.begin(), v.end(), [&](const Req& h) {
+    return matches(rs.pool.get(h), env);
+  });
+  if (it == v.end()) {
+    rs.unexpected.push_back(std::move(env));
     return;
   }
-
-  Request& r = rs.pool.get(matched);
-  if (env.bytes > r.bytes) {
-    throw std::length_error(
-        "recv buffer smaller than incoming message (dst=" +
-        std::to_string(wrank_) + " src=" + std::to_string(env.src) +
-        " tag=" + std::to_string(env.tag) + " ctx=" +
-        std::to_string(env.context) + " kind=" +
-        std::to_string(int(env.kind)) + " env.bytes=" +
-        std::to_string(env.bytes) + " posted.bytes=" +
-        std::to_string(r.bytes) + ")");
-  }
-  if (env.kind == Envelope::Kind::Eager) {
-    const auto& p = world_.platform();
-    cpu_cost += (rs.node == world_.ranks_[env.src].node
-                     ? p.intra.recv_overhead
-                     : p.inter.recv_overhead) +
-                static_cast<double>(env.bytes) * p.copy_byte_time;
-    if (r.recv_buf != nullptr && !env.payload.empty()) {
-      std::memcpy(r.recv_buf, env.payload.data(), env.payload.size());
-    }
-    r.peer = env.src;
-    r.status = Status{env.src, env.tag, env.bytes};
-    r.complete = true;
-    r.state = ReqState::Complete;
-  } else {
-    send_cts(env, matched, cpu_cost);
-  }
+  const Req matched = *it;
+  v.erase(it);
+  accept(matched, env, cpu_cost);
 }
 
 void Ctx::push_chunks(double& cpu_cost) {
@@ -1158,9 +1128,12 @@ double Ctx::progress_work(bool explicit_call) {
     }
   }
   if (!rs.inbound.empty()) {
-    std::vector<Envelope> batch;
+    // Swap in the spare (empty, capacity kept) so deliveries during the
+    // pass land in a fresh buffer and neither buffer is reallocated.
+    std::vector<Envelope>& batch = rs.inbound_spare;
     batch.swap(rs.inbound);
     for (auto& env : batch) handle_envelope(env, cost);
+    batch.clear();
   }
   push_chunks(cost);
   // Clients may post operations and advance schedules.
@@ -1319,25 +1292,9 @@ void Ctx::cancel_request(Req& h) {
     return q.index == h.index && q.generation == h.generation;
   };
   if (r.kind == ReqKind::Recv && r.state == ReqState::Posted) {
-    if (r.peer != kAnySource && r.tag != kAnyTag) {
-      auto it = rs.exact_posted.find(MatchKey{r.context, r.tag, r.peer});
-      if (it != rs.exact_posted.end()) {
-        auto& dq = it->second;
-        for (auto qi = dq.begin(); qi != dq.end(); ++qi) {
-          if (is_h(*qi)) {
-            dq.erase(qi);
-            break;
-          }
-        }
-        if (dq.empty()) rs.exact_posted.erase(it);
-      }
-    } else {
-      auto& v = rs.wildcard_posted;
-      v.erase(std::remove_if(v.begin(), v.end(), is_h), v.end());
-    }
+    std::erase_if(rs.posted, is_h);
   }
-  auto& bulks = rs.cpu_bulk_sends;
-  bulks.erase(std::remove_if(bulks.begin(), bulks.end(), is_h), bulks.end());
+  std::erase_if(rs.cpu_bulk_sends, is_h);
   // Any in-flight transport event for this request (NIC bulk completion,
   // chunk drain, RTO) is generation-checked and becomes a no-op.
   --rs.outstanding;
@@ -1401,15 +1358,8 @@ void Ctx::ft_cleanup(const FtDecision& d) {
     if (world_.ranks_[static_cast<std::size_t>(e.src)].dead) return true;
     return e.tag >= kReliableTagBase && e.tag < floor_tag;
   };
-  for (auto it = rs.unexpected.begin(); it != rs.unexpected.end();) {
-    auto& dq = it->second;
-    for (auto qi = dq.begin(); qi != dq.end();) {
-      qi = stale(*qi) ? dq.erase(qi) : std::next(qi);
-    }
-    it = dq.empty() ? rs.unexpected.erase(it) : std::next(it);
-  }
-  auto& inb = rs.inbound;
-  inb.erase(std::remove_if(inb.begin(), inb.end(), stale), inb.end());
+  std::erase_if(rs.unexpected, stale);
+  std::erase_if(rs.inbound, stale);
   // Dedup entries keyed by a dead sender can never match again: reclaim.
   for (auto it = rs.seen_msgs.begin(); it != rs.seen_msgs.end();) {
     const bool dead =

@@ -14,7 +14,6 @@
 //     semantics whose consequences the paper studies.
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -100,18 +99,9 @@ struct Envelope {
   std::uint64_t peer_match_id = 0;  ///< receiver request (Cts)
   const void* send_buf = nullptr;   ///< sender buffer (rendezvous delivery)
   std::vector<std::byte> payload;   ///< copied eager payload
-  std::uint64_t arrival_seq = 0;    ///< per-receiver arrival order
   /// World-unique message id; the trace correlation linking this
   /// message's post instant, wire span(s) and delivery instant.
   std::uint64_t seq = 0;
-};
-
-/// Exact-match key for the posted-receive / unexpected-message tables.
-struct MatchKey {
-  int context;
-  int tag;
-  int src;
-  friend auto operator<=>(const MatchKey&, const MatchKey&) = default;
 };
 
 /// Per-rank library-side state.
@@ -120,17 +110,15 @@ struct RankState {
   Ctx* ctx = nullptr;
   int node = 0;
   RequestPool pool;
-  // Posted receives: exact (context,tag,src) fast path plus a slow list
-  // for wildcard receives; post_seq in Request keeps MPI matching order.
-  std::map<MatchKey, std::deque<Req>> exact_posted;
-  std::vector<Req> wildcard_posted;
-  std::map<MatchKey, std::deque<Envelope>> unexpected;
+  // Posted receives in posting order and unexpected messages in arrival
+  // order; a match takes the first matching entry (MPI's ordering rule).
+  std::vector<Req> posted;
+  std::vector<Envelope> unexpected;
   std::vector<Envelope> inbound;            // arrived, not yet processed
+  std::vector<Envelope> inbound_spare;      // drained batch, kept for reuse
   std::vector<Req> cpu_bulk_sends;          // CPU-driven bulks in progress
   std::vector<ProgressClient*> clients;
   std::size_t outstanding = 0;              // live un-observed requests
-  std::uint64_t next_post_seq = 0;
-  std::uint64_t next_arrival_seq = 0;
   std::uint64_t ctrl_msgs = 0, data_msgs = 0;
   /// Fail-stop kill executed: the NIC is silenced (ship/deliver discard),
   /// the progress engine is stopped, and the fiber unwinds via RankKilled.
@@ -258,6 +246,14 @@ class World {
   /// done preparing it.  Returns the transmit-complete time on the sender
   /// (for eager local completion / chunk drain notification).
   sim::Time ship(detail::Envelope env, sim::Time earliest);
+  /// Park an envelope in the in-flight slab until its arrival event, which
+  /// captures the returned slot index; unpark() takes it back out.
+  std::uint32_t park(detail::Envelope&& env);
+  detail::Envelope unpark(std::uint32_t slot);
+  /// A payload buffer holding a copy of `bytes` bytes of `buf`, drawn from
+  /// the free list; recycle() returns a consumed payload to it.
+  std::vector<std::byte> payload_copy(const void* buf, std::size_t bytes);
+  void recycle(std::vector<std::byte>& payload);
 
   void deliver(detail::Envelope env);  // arrival event body (scheduler ctx)
   void notify(int wrank);              // wake a rank blocked in the library
@@ -298,6 +294,11 @@ class World {
   /// Message / bulk-transfer id source (trace correlation; deterministic:
   /// ships happen in simulated-event order, which is seed-stable).
   std::uint64_t next_msg_seq_ = 0;
+  /// Envelopes on the wire (ship() to arrival event) and their free slots.
+  std::vector<detail::Envelope> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;
+  /// Eager payload buffers released by consumed envelopes.
+  std::vector<std::vector<std::byte>> spare_payloads_;
   std::unique_ptr<fault::Injector> injector_;
   bool lossy_ = false;
   std::unique_ptr<RecoveryService> ft_;
@@ -460,6 +461,9 @@ class Ctx {
 
   bool try_match_unexpected(Req rh, double& cpu_cost);
   void handle_envelope(detail::Envelope& env, double& cpu_cost);
+  /// Complete posted receive `rh` with matched envelope `env`: copy an
+  /// eager payload in, or answer an RTS with a CTS.
+  void accept(Req rh, detail::Envelope& env, double& cpu_cost);
   void send_cts(const detail::Envelope& rts, Req rh, double& cpu_cost);
   void push_chunks(double& cpu_cost);
   double bulk_chunk_cost(std::size_t chunk) const;

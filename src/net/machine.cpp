@@ -13,21 +13,31 @@ Machine::Machine(Platform platform) : platform_(std::move(platform)) {
   if (platform_.nodes <= 0 || platform_.nics_per_node <= 0) {
     throw std::invalid_argument("Machine: platform must have nodes and NICs");
   }
-  tx_.resize(platform_.nodes);
-  rx_.resize(platform_.nodes);
-  mem_.reserve(platform_.nodes);
-  for (int n = 0; n < platform_.nodes; ++n) {
-    for (int i = 0; i < platform_.nics_per_node; ++i) {
-      tx_[n].emplace_back("tx:" + std::to_string(n) + ":" + std::to_string(i));
-      rx_[n].emplace_back("rx:" + std::to_string(n) + ":" + std::to_string(i));
-    }
-    mem_.emplace_back("mem:" + std::to_string(n));
-  }
+  const auto nics = static_cast<std::size_t>(platform_.nodes) *
+                    static_cast<std::size_t>(platform_.nics_per_node);
+  tx_.resize(nics);
+  rx_.resize(nics);
+  mem_.resize(static_cast<std::size_t>(platform_.nodes));
   inflight_.assign(platform_.nodes, 0);
 }
 
-sim::Resource& Machine::nic_tx(int node, int nic) { return tx_.at(node).at(nic); }
-sim::Resource& Machine::nic_rx(int node, int nic) { return rx_.at(node).at(nic); }
+std::size_t Machine::nic_index(int node, int nic) const {
+  if (node < 0 || node >= platform_.nodes || nic < 0 ||
+      nic >= platform_.nics_per_node) {
+    throw std::out_of_range("Machine: no NIC " + std::to_string(nic) +
+                            " on node " + std::to_string(node));
+  }
+  return static_cast<std::size_t>(node) *
+             static_cast<std::size_t>(platform_.nics_per_node) +
+         static_cast<std::size_t>(nic);
+}
+
+sim::Resource& Machine::nic_tx(int node, int nic) {
+  return tx_[nic_index(node, nic)];
+}
+sim::Resource& Machine::nic_rx(int node, int nic) {
+  return rx_[nic_index(node, nic)];
+}
 sim::Resource& Machine::mem(int node) { return mem_.at(node); }
 
 namespace {
@@ -116,10 +126,8 @@ double Machine::latency(int node_a, int node_b) const noexcept {
 }
 
 void Machine::reset() {
-  for (auto& node : tx_)
-    for (auto& r : node) r.reset();
-  for (auto& node : rx_)
-    for (auto& r : node) r.reset();
+  for (auto& r : tx_) r.reset();
+  for (auto& r : rx_) r.reset();
   for (auto& r : mem_) r.reset();
   inflight_.assign(platform_.nodes, 0);
 }

@@ -4,6 +4,7 @@
 // (per-NIC transmit/receive engines, per-node memory ports) and answers
 // topology queries (latency between nodes, NIC selection).
 
+#include <cstddef>
 #include <vector>
 
 #include "net/platform.hpp"
@@ -86,10 +87,13 @@ class Machine {
  private:
   Platform platform_;
   Topology topology_{platform_};
+  /// Flat index of NIC `nic` on `node` into tx_/rx_ (range-checked).
+  [[nodiscard]] std::size_t nic_index(int node, int nic) const;
+
   std::vector<int> inflight_;
-  // [node][nic]
-  std::vector<std::vector<sim::Resource>> tx_;
-  std::vector<std::vector<sim::Resource>> rx_;
+  // NIC engines at [node * nics_per_node + nic]; memory ports at [node].
+  std::vector<sim::Resource> tx_;
+  std::vector<sim::Resource> rx_;
   std::vector<sim::Resource> mem_;
 };
 

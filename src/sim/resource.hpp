@@ -9,20 +9,18 @@
 // the cost of simulating preemption.
 
 #include <algorithm>
-#include <string>
+#include <cstdint>
 
 #include "sim/engine.hpp"
 
 namespace nbctune::sim {
 
-/// A serial FIFO resource identified for tracing by name.
+/// A serial FIFO resource.
 ///
 /// reserve(earliest, duration) books the next available slot that starts at
 /// or after `earliest` and returns the slot's [start, end) interval.
 class Resource {
  public:
-  explicit Resource(std::string name = {}) : name_(std::move(name)) {}
-
   struct Slot {
     Time start;
     Time end;
@@ -46,7 +44,6 @@ class Resource {
   [[nodiscard]] std::uint64_t reservations() const noexcept {
     return reservations_;
   }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   /// Reset booking state (e.g. between benchmark repetitions).
   void reset() noexcept {
@@ -56,7 +53,6 @@ class Resource {
   }
 
  private:
-  std::string name_;
   Time available_at_ = 0.0;
   Time busy_total_ = 0.0;
   std::uint64_t reservations_ = 0;

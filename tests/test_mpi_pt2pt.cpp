@@ -175,6 +175,117 @@ TEST(Pt2Pt, UnexpectedEagerBufferedUntilRecv) {
   EXPECT_EQ(got, 77);
 }
 
+// ------------------------------------------------------- matching order
+// Posted receives and unexpected messages each form one list, in posting
+// and arrival order; a match takes the first matching entry.
+
+TEST(Matching, EarlierPostedReceiveWinsOverLaterWildcard) {
+  // Both receives match both messages; the one posted first takes the
+  // first message, whichever of the two is the wildcard.
+  for (const bool exact_first : {true, false}) {
+    int exact = 0, wild = 0;
+    t::run_world(kIb, 2, [&](mpi::Ctx& ctx) {
+      auto comm = ctx.world().comm_world();
+      if (ctx.world_rank() == 0) {
+        ctx.compute(1e-3);  // both receives are posted by now
+        int a = 11, b = 22;
+        ctx.send(comm, &a, sizeof a, 1, 3);
+        ctx.send(comm, &b, sizeof b, 1, 3);
+      } else {
+        std::vector<mpi::Req> reqs;
+        const auto post_exact = [&] {
+          reqs.push_back(ctx.irecv(comm, &exact, sizeof exact, 0, 3));
+        };
+        const auto post_wild = [&] {
+          reqs.push_back(
+              ctx.irecv(comm, &wild, sizeof wild, mpi::kAnySource, 3));
+        };
+        if (exact_first) {
+          post_exact();
+          post_wild();
+        } else {
+          post_wild();
+          post_exact();
+        }
+        ctx.wait_all(reqs);
+      }
+    });
+    EXPECT_EQ(exact, exact_first ? 11 : 22) << "exact_first=" << exact_first;
+    EXPECT_EQ(wild, exact_first ? 22 : 11) << "exact_first=" << exact_first;
+  }
+}
+
+TEST(Matching, AnySourceTakesEarliestUnexpectedArrival) {
+  // Ranks 3, 1, 2 send in that order; all three messages are unexpected
+  // when rank 0 posts, and kAnySource receives take them in arrival order,
+  // not in source order.
+  std::vector<int> sources;
+  t::run_world(kIb, 4, [&](mpi::Ctx& ctx) {
+    auto comm = ctx.world().comm_world();
+    const int me = ctx.world_rank();
+    if (me == 0) {
+      ctx.compute(10e-3);
+      for (int i = 0; i < 3; ++i) {
+        int v = 0;
+        const mpi::Status st =
+            ctx.recv(comm, &v, sizeof v, mpi::kAnySource, 6);
+        EXPECT_EQ(v, st.source * 100);
+        sources.push_back(st.source);
+      }
+    } else {
+      ctx.compute((me == 3 ? 0 : me) * 1e-3 + 1e-4);
+      int v = me * 100;
+      ctx.send(comm, &v, sizeof v, 0, 6);
+    }
+  });
+  EXPECT_EQ(sources, (std::vector<int>{3, 1, 2}));
+}
+
+TEST(Matching, AnyTagTakesEarliestArrivalAmongTags) {
+  std::vector<int> tags;
+  t::run_world(kIb, 2, [&](mpi::Ctx& ctx) {
+    auto comm = ctx.world().comm_world();
+    if (ctx.world_rank() == 0) {
+      for (const int tag : {9, 4, 7}) {
+        ctx.send(comm, &tag, sizeof tag, 1, tag);
+        ctx.compute(1e-4);
+      }
+    } else {
+      ctx.compute(10e-3);  // all three are unexpected
+      for (int i = 0; i < 3; ++i) {
+        int v = 0;
+        const mpi::Status st = ctx.recv(comm, &v, sizeof v, 0, mpi::kAnyTag);
+        EXPECT_EQ(v, st.tag);
+        tags.push_back(st.tag);
+      }
+    }
+  });
+  EXPECT_EQ(tags, (std::vector<int>{9, 4, 7}));
+}
+
+TEST(Matching, CancelInMiddleKeepsPostedOrder) {
+  // Four receives that all match; cancelling the second leaves the others
+  // to take the three messages in posting order.
+  std::vector<int> got(4, 0);
+  t::run_world(kIb, 2, [&](mpi::Ctx& ctx) {
+    auto comm = ctx.world().comm_world();
+    if (ctx.world_rank() == 0) {
+      ctx.compute(1e-3);
+      for (int v : {1, 2, 3}) ctx.send(comm, &v, sizeof v, 1, 5);
+    } else {
+      std::vector<mpi::Req> reqs;
+      reqs.push_back(ctx.irecv(comm, &got[0], sizeof(int), mpi::kAnySource, 5));
+      reqs.push_back(ctx.irecv(comm, &got[1], sizeof(int), 0, 5));
+      reqs.push_back(ctx.irecv(comm, &got[2], sizeof(int), 0, 5));
+      reqs.push_back(ctx.irecv(comm, &got[3], sizeof(int), 0, mpi::kAnyTag));
+      ctx.cancel_request(reqs[1]);
+      EXPECT_TRUE(reqs[1].null());
+      ctx.wait_all(reqs);
+    }
+  });
+  EXPECT_EQ(got, (std::vector<int>{1, 0, 2, 3}));
+}
+
 TEST(Pt2Pt, WaitAllCompletesEverything) {
   const int kMsgs = 16;
   std::vector<int> got(kMsgs, 0);

@@ -478,7 +478,7 @@ TEST(Engine, DeterministicAcrossRuns) {
 // -------------------------------------------------------------- Resource
 
 TEST(Resource, SerializesReservations) {
-  sim::Resource r("nic");
+  sim::Resource r;
   auto a = r.reserve(0.0, 2.0);
   auto b = r.reserve(0.0, 3.0);
   EXPECT_DOUBLE_EQ(a.start, 0.0);
