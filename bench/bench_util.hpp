@@ -41,11 +41,11 @@ namespace nbctune::bench {
 /// are byte-deterministic at any thread count and never touch stdout.
 /// `--exec=fiber|machine` selects the execution mode for fixed runs
 /// (machine: fiberless state machines, scales to 100k+ ranks; outputs
-/// byte-identical to fiber mode wherever both run).  `--fiber-stack N`
-/// sets the per-fiber stack in bytes (fiber mode only; default 256 KiB
-/// or NBCTUNE_FIBER_STACK).  `--list-platforms` dumps every preset's
-/// node/core/NIC counts, per-level link parameters and hierarchy shape
-/// (net::describe_platform) to stdout and exits before the sweep.
+/// byte-identical to fiber mode wherever both run); fiber stacks are
+/// sized by NBCTUNE_FIBER_STACK (default 256 KiB).  `--list-platforms`
+/// dumps every preset's node/core/NIC counts, per-level link parameters
+/// and hierarchy shape (net::describe_platform) to stdout and exits
+/// before the sweep.
 /// `--list-plans` likewise dumps every canned fault plan — name, a
 /// one-line description and the exact spec string a driver's fault
 /// option accepts — and exits before the sweep.
@@ -59,7 +59,6 @@ struct Scale {
   bool full = false;
   int threads = 0;  ///< 0 = auto (NBCTUNE_THREADS, then hardware)
   harness::ExecMode exec = harness::ExecMode::Fiber;
-  std::size_t fiber_stack = 0;  ///< 0 = sim default
   std::string trace_path;     ///< Chrome trace-event JSON output, if set
   std::string counters_path;  ///< flat counter dump output, if set
   ReportMode report = ReportMode::None;
@@ -110,9 +109,6 @@ struct Scale {
           throw std::invalid_argument("--exec: expected fiber or machine, got " +
                                       mode);
         }
-      }
-      if (std::strcmp(argv[i], "--fiber-stack") == 0 && i + 1 < argc) {
-        s.fiber_stack = static_cast<std::size_t>(std::atoll(argv[++i]));
       }
       if (std::strcmp(argv[i], "--list-platforms") == 0) {
         s.list_platforms = true;
@@ -275,10 +271,9 @@ class Driver {
     return SweepTimer(name_ + " sweep", pool_.threads());
   }
 
-  /// Apply the execution-mode flags to a scenario (--exec, --fiber-stack).
+  /// Apply the execution-mode flag to a scenario (--exec).
   void configure(harness::MicroScenario& s) const noexcept {
     s.exec = scale_.exec;
-    s.fiber_stack_bytes = scale_.fiber_stack;
   }
 
  private:

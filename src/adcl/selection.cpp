@@ -597,7 +597,6 @@ void SelectionState::maybe_drift(mpi::Ctx& ctx, const mpi::Comm& comm,
   // longer best).  Re-open tuning with a fresh policy.  The check score is
   // rank-agreed, so every rank re-opens at the same iteration.
   ++retunes_;
-  retune_iterations_.push_back(iterations_);
   trace::count(trace::Ctr::AdclRetunes);
   if (trace::active()) {
     trace::instant(ctx.now(), ctx.world_rank(), trace::Cat::Adcl,
@@ -635,7 +634,6 @@ void SelectionState::reset_for_shrink(mpi::Ctx& ctx, int resume_iteration) {
   // interrupted ahead of the failure had recorded samples the others
   // never saw, and redoing from the agreed iteration realigns them.
   ++retunes_;
-  retune_iterations_.push_back(resume_iteration);
   trace::count(trace::Ctr::AdclRetunes);
   if (trace::active()) {
     trace::instant(ctx.now(), ctx.world_rank(), trace::Cat::Adcl,

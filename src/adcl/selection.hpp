@@ -185,11 +185,8 @@ class SelectionState {
       const noexcept {
     return eliminations_;
   }
-  /// Times drift detection re-opened tuning, and at which iterations.
+  /// Times drift detection (or a shrink) re-opened tuning.
   [[nodiscard]] int retunes() const noexcept { return retunes_; }
-  [[nodiscard]] const std::vector<int>& retune_iterations() const noexcept {
-    return retune_iterations_;
-  }
 
  private:
   void finalize(mpi::Ctx& ctx);
@@ -221,7 +218,6 @@ class SelectionState {
   std::size_t policy_elims_seen_ = 0;  ///< adopted from the current policy
   std::size_t traced_elims_ = 0;       ///< emitted as trace events
   int retunes_ = 0;
-  std::vector<int> retune_iterations_;
   double baseline_score_ = std::numeric_limits<double>::quiet_NaN();
   std::vector<double> drift_batch_;
 };

@@ -281,9 +281,9 @@ struct ScenarioReport {
   bool min_reps_met = false;
   /// Every op instance's critical-rank analysis, ordered by correlation
   /// id (deterministic).  This is the raw material of the profile
-  /// exporters (src/obs: collapsed-stack / speedscope frames are
-  /// rank;op;phase weighted by these blame partitions); not serialized
-  /// into the JSON report.
+  /// exporter (src/obs: collapsed-stack frames are rank;op;phase
+  /// weighted by these blame partitions); not serialized into the JSON
+  /// report.
   std::vector<OpCritical> op_criticals;
   /// Events discarded by the trace buffer cap (NBCTUNE_TRACE_MAX_EVENTS);
   /// non-zero means every number above is computed from a truncated

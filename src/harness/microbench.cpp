@@ -143,7 +143,6 @@ RunOutcome run_loop(const MicroScenario& s,
   wopts.nprocs = s.nprocs;
   wopts.seed = s.seed;
   wopts.noise_scale = s.noise_scale;
-  wopts.fiber_stack_bytes = s.fiber_stack_bytes;
   if (plan.enabled()) wopts.fault_plan = &plan;
   mpi::World world(engine, machine, wopts);
 

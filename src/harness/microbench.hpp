@@ -77,9 +77,6 @@ struct MicroScenario {
   /// Execution mode; Machine is valid for run_fixed() only and appends
   /// "+exec=machine" to trace labels.
   ExecMode exec = ExecMode::Fiber;
-  /// Fiber stack size for ExecMode::Fiber; 0 = sim default (the
-  /// NBCTUNE_FIBER_STACK env var, else 256 KiB).  Ignored in machine mode.
-  std::size_t fiber_stack_bytes = 0;
 };
 
 /// Result of one benchmark execution.

@@ -117,8 +117,7 @@ void World::launch(std::function<void(Ctx&)> program) {
             program(*ctx);
           } catch (const RankKilled&) {
           }
-        },
-        options_.fiber_stack_bytes);
+        });
     rs.process = &p;
   }
 }
@@ -1173,11 +1172,6 @@ Req Ctx::irecv(const Comm& comm, void* buf, std::size_t bytes, int src,
   Req h = post_irecv(comm, buf, bytes, src, tag, cost);
   charge(cost);
   return h;
-}
-
-bool Ctx::peek_complete(Req h) {
-  if (h.null()) return true;
-  return st().pool.get(h).complete;
 }
 
 Request* Ctx::request_ptr(Req h) { return st().pool.ptr(h); }

@@ -68,10 +68,6 @@ struct WorldOptions {
   double noise_scale = 1.0;
   /// Rank placement onto nodes.
   enum class Placement { Block, RoundRobin } placement = Placement::Block;
-  /// Fiber stack size for launch(); 0 = sim::default_fiber_stack_bytes()
-  /// (NBCTUNE_FIBER_STACK env var, else 256 KiB).  Unused by
-  /// launch_machine(), which creates no fibers.
-  std::size_t fiber_stack_bytes = 0;
   /// Optional fault plan (must outlive the World).  Attaching a lossy plan
   /// switches inter-node messaging to ack/retransmit mode.
   const fault::FaultPlan* fault_plan = nullptr;
@@ -221,11 +217,6 @@ class World {
   /// survivor, so membership is globally consistent by construction.
   Comm shrink(const std::vector<int>& survivors, int epoch);
 
-  /// True once `wrank` was fail-stopped by a kill plan.
-  [[nodiscard]] bool rank_dead(int wrank) const {
-    return ranks_.at(static_cast<std::size_t>(wrank)).dead;
-  }
-
   /// Total messages put on the wire (diagnostics).
   [[nodiscard]] std::uint64_t total_data_msgs() const noexcept;
   [[nodiscard]] std::uint64_t total_ctrl_msgs() const noexcept;
@@ -314,7 +305,6 @@ class Ctx {
 
   // ---- identity & time ----
   [[nodiscard]] int world_rank() const noexcept { return wrank_; }
-  [[nodiscard]] int world_size() const noexcept { return world_.size(); }
   [[nodiscard]] World& world() noexcept { return world_; }
   [[nodiscard]] sim::Time now() const noexcept { return world_.engine().now(); }
 
@@ -348,8 +338,6 @@ class Ctx {
                  int rail = -1);
   Req post_irecv(const Comm& comm, void* buf, std::size_t bytes, int src,
                  int tag, double& cpu_cost, int rail = -1);
-  /// Non-charging completion check (no progress pass).
-  bool peek_complete(Req h);
   /// Stable pointer to a live request (hot-path completion polling).
   Request* request_ptr(Req h);
   /// Observe a known-complete request, freeing it.

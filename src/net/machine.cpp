@@ -9,26 +9,26 @@
 
 namespace nbctune::net {
 
-Machine::Machine(Platform platform) : platform_(std::move(platform)) {
-  if (platform_.nodes <= 0 || platform_.nics_per_node <= 0) {
+Machine::Machine(Platform p) : topology_(std::move(p)) {
+  if (platform().nodes <= 0 || platform().nics_per_node <= 0) {
     throw std::invalid_argument("Machine: platform must have nodes and NICs");
   }
-  const auto nics = static_cast<std::size_t>(platform_.nodes) *
-                    static_cast<std::size_t>(platform_.nics_per_node);
+  const auto nics = static_cast<std::size_t>(platform().nodes) *
+                    static_cast<std::size_t>(platform().nics_per_node);
   tx_.resize(nics);
   rx_.resize(nics);
-  mem_.resize(static_cast<std::size_t>(platform_.nodes));
-  inflight_.assign(platform_.nodes, 0);
+  mem_.resize(static_cast<std::size_t>(platform().nodes));
+  inflight_.assign(platform().nodes, 0);
 }
 
 std::size_t Machine::nic_index(int node, int nic) const {
-  if (node < 0 || node >= platform_.nodes || nic < 0 ||
-      nic >= platform_.nics_per_node) {
+  if (node < 0 || node >= platform().nodes || nic < 0 ||
+      nic >= platform().nics_per_node) {
     throw std::out_of_range("Machine: no NIC " + std::to_string(nic) +
                             " on node " + std::to_string(node));
   }
   return static_cast<std::size_t>(node) *
-             static_cast<std::size_t>(platform_.nics_per_node) +
+             static_cast<std::size_t>(platform().nics_per_node) +
          static_cast<std::size_t>(nic);
 }
 
@@ -85,7 +85,7 @@ sim::Resource::Slot Machine::reserve_mem(int node, double earliest,
 
 int Machine::nic_for(int node, int peer_node) const noexcept {
   (void)node;
-  return peer_node % platform_.nics_per_node;
+  return peer_node % platform().nics_per_node;
 }
 
 namespace {
@@ -96,12 +96,12 @@ int ring_distance(int a, int b, int dim) noexcept {
 }  // namespace
 
 int Machine::torus_hops(int node_a, int node_b) const noexcept {
-  if (platform_.torus_x <= 0 || node_a == node_b) return 0;
+  if (platform().torus_x <= 0 || node_a == node_b) return 0;
   // Degenerate axes (declared 0 or negative alongside torus_x > 0) are
   // 1-wide rings: every coordinate is 0 and the axis contributes no hops.
-  const int tx = platform_.torus_x;
-  const int ty = platform_.torus_y > 0 ? platform_.torus_y : 1;
-  const int tz = platform_.torus_z > 0 ? platform_.torus_z : 1;
+  const int tx = platform().torus_x;
+  const int ty = platform().torus_y > 0 ? platform().torus_y : 1;
+  const int tz = platform().torus_z > 0 ? platform().torus_z : 1;
   const int zplane = tx * ty;
   // Every coordinate is reduced modulo its own axis extent, so node ids
   // beyond tx*ty*tz wrap around the torus instead of producing
@@ -115,12 +115,12 @@ int Machine::torus_hops(int node_a, int node_b) const noexcept {
 }
 
 double Machine::latency(int node_a, int node_b) const noexcept {
-  if (node_a == node_b) return platform_.intra.latency;
-  double l = platform_.inter.latency +
-             platform_.hop_latency * torus_hops(node_a, node_b);
-  if (platform_.rack_extra_latency > 0 &&
+  if (node_a == node_b) return platform().intra.latency;
+  double l = platform().inter.latency +
+             platform().hop_latency * torus_hops(node_a, node_b);
+  if (platform().rack_extra_latency > 0 &&
       topology_.rack_of(node_a) != topology_.rack_of(node_b)) {
-    l += platform_.rack_extra_latency;
+    l += platform().rack_extra_latency;
   }
   return l;
 }
@@ -129,7 +129,7 @@ void Machine::reset() {
   for (auto& r : tx_) r.reset();
   for (auto& r : rx_) r.reset();
   for (auto& r : mem_) r.reset();
-  inflight_.assign(platform_.nodes, 0);
+  inflight_.assign(platform().nodes, 0);
 }
 
 }  // namespace nbctune::net

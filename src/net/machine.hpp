@@ -18,8 +18,10 @@ class Machine {
  public:
   explicit Machine(Platform platform);
 
-  [[nodiscard]] const Platform& platform() const noexcept { return platform_; }
-  [[nodiscard]] int nodes() const noexcept { return platform_.nodes; }
+  [[nodiscard]] const Platform& platform() const noexcept {
+    return topology_.platform();
+  }
+  [[nodiscard]] int nodes() const noexcept { return platform().nodes; }
   /// The socket/node/rack hierarchy and rail/striping planner.
   [[nodiscard]] const Topology& topology() const noexcept { return topology_; }
 
@@ -71,11 +73,11 @@ class Machine {
   /// intra-node (memory thrashing) knobs.
   [[nodiscard]] double congestion_factor(int node, bool intra) const {
     const double coef =
-        intra ? platform_.mem_congest_coef : platform_.congest_coef;
-    const int free = intra ? platform_.mem_congest_free
-                           : platform_.congest_free;
+        intra ? platform().mem_congest_coef : platform().congest_coef;
+    const int free = intra ? platform().mem_congest_free
+                           : platform().congest_free;
     const double cap =
-        intra ? platform_.mem_congest_cap : platform_.congest_cap;
+        intra ? platform().mem_congest_cap : platform().congest_cap;
     const int over = inflight_.at(node) - free;
     const double f = over > 0 ? 1.0 + coef * over : 1.0;
     return f < cap ? f : cap;
@@ -85,8 +87,7 @@ class Machine {
   void reset();
 
  private:
-  Platform platform_;
-  Topology topology_{platform_};
+  Topology topology_;
   /// Flat index of NIC `nic` on `node` into tx_/rx_ (range-checked).
   [[nodiscard]] std::size_t nic_index(int node, int nic) const;
 

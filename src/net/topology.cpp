@@ -2,6 +2,7 @@
 
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 namespace nbctune::net {
 
@@ -15,17 +16,17 @@ const char* level_name(Level l) noexcept {
   return "?";
 }
 
-Topology::Topology(const Platform& p) : p_(&p) {
-  if (p.nodes <= 0 || p.cores_per_node <= 0 || p.nics_per_node <= 0) {
+Topology::Topology(Platform p) : p_(std::move(p)) {
+  if (p_.nodes <= 0 || p_.cores_per_node <= 0 || p_.nics_per_node <= 0) {
     throw std::invalid_argument("Topology: platform must have nodes/cores/NICs");
   }
-  sockets_ = p.sockets_per_node > 0 ? p.sockets_per_node : 1;
-  if (p.cores_per_node % sockets_ != 0) {
+  sockets_ = p_.sockets_per_node > 0 ? p_.sockets_per_node : 1;
+  if (p_.cores_per_node % sockets_ != 0) {
     throw std::invalid_argument(
         "Topology: sockets_per_node must divide cores_per_node");
   }
-  cores_per_socket_ = p.cores_per_node / sockets_;
-  rack_nodes_ = p.nodes_per_rack > 0 ? p.nodes_per_rack : p.nodes;
+  cores_per_socket_ = p_.cores_per_node / sockets_;
+  rack_nodes_ = p_.nodes_per_rack > 0 ? p_.nodes_per_rack : p_.nodes;
 }
 
 Level Topology::level_between(int node_a, int core_a, int node_b,
@@ -40,16 +41,16 @@ Level Topology::level_between(int node_a, int core_a, int node_b,
 const LinkParams& Topology::link(Level l) const noexcept {
   switch (l) {
     case Level::Socket: {
-      const LinkParams& s = p_->socket;
+      const LinkParams& s = p_.socket;
       const bool declared = s.latency > 0 || s.byte_time > 0 ||
                             s.send_overhead > 0 || s.recv_overhead > 0;
-      return declared ? s : p_->intra;
+      return declared ? s : p_.intra;
     }
-    case Level::Node: return p_->intra;
+    case Level::Node: return p_.intra;
     case Level::Rack:
-    case Level::System: return p_->inter;
+    case Level::System: return p_.inter;
   }
-  return p_->inter;
+  return p_.inter;
 }
 
 std::vector<Stripe> Topology::plan_stripes(std::size_t bytes,

@@ -37,15 +37,16 @@ struct Stripe {
   std::size_t bytes = 0;
 };
 
-/// Queryable hierarchy of one Platform.  Cheap to construct; Machine owns
-/// one and the collective builders consult it through the World.
+/// Queryable hierarchy of one Platform, which it holds by value (so a
+/// Topology built from a temporary, or copied, never dangles).  Machine
+/// owns one and the collective builders consult it through the World.
 class Topology {
  public:
-  explicit Topology(const Platform& p);
+  explicit Topology(Platform p);
 
-  [[nodiscard]] const Platform& platform() const noexcept { return *p_; }
+  [[nodiscard]] const Platform& platform() const noexcept { return p_; }
 
-  [[nodiscard]] int rails() const noexcept { return p_->nics_per_node; }
+  [[nodiscard]] int rails() const noexcept { return p_.nics_per_node; }
   [[nodiscard]] int sockets_per_node() const noexcept { return sockets_; }
   [[nodiscard]] int cores_per_socket() const noexcept {
     return cores_per_socket_;
@@ -53,7 +54,7 @@ class Topology {
   /// Nodes per rack (the whole machine when the platform declares none).
   [[nodiscard]] int nodes_per_rack() const noexcept { return rack_nodes_; }
   [[nodiscard]] int num_racks() const noexcept {
-    return (p_->nodes + rack_nodes_ - 1) / rack_nodes_;
+    return (p_.nodes + rack_nodes_ - 1) / rack_nodes_;
   }
 
   [[nodiscard]] int rack_of(int node) const noexcept {
@@ -91,7 +92,7 @@ class Topology {
       std::size_t bytes, std::size_t min_stripe_bytes = 4096) const;
 
  private:
-  const Platform* p_;
+  Platform p_;
   int sockets_ = 1;
   int cores_per_socket_ = 1;
   int rack_nodes_ = 1;

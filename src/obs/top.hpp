@@ -72,7 +72,6 @@ class TopState {
   [[nodiscard]] const Recovery& recovery() const noexcept { return recovery_; }
   [[nodiscard]] bool done() const noexcept { return !status_.empty(); }
   [[nodiscard]] const std::string& status() const noexcept { return status_; }
-  [[nodiscard]] long long last_t_ms() const noexcept { return last_t_ms_; }
   /// Wall-clock estimate of time to completion in ms (-1 = unknown).
   [[nodiscard]] long long eta_ms() const noexcept;
   [[nodiscard]] const std::map<std::string, OpAgg>& ops() const noexcept {

@@ -11,11 +11,11 @@ namespace nbctune::sim {
 // ---------------------------------------------------------------- Process
 
 Process::Process(Engine& engine, int id, std::string name,
-                 std::function<void(Process&)> body, std::size_t stack_bytes)
+                 std::function<void(Process&)> body)
     : engine_(engine),
       id_(id),
       name_(std::move(name)),
-      fiber_([this, body = std::move(body)] { body(*this); }, stack_bytes) {}
+      fiber_([this, body = std::move(body)] { body(*this); }) {}
 
 void Process::sleep(Time dt) {
   if (dt < 0) throw std::invalid_argument("Process::sleep: negative dt");
@@ -110,11 +110,10 @@ void Engine::cancel(std::uint64_t id) {
 }
 
 Process& Engine::add_process(std::string name,
-                             std::function<void(Process&)> body,
-                             std::size_t stack_bytes) {
+                             std::function<void(Process&)> body) {
   const int id = static_cast<int>(processes_.size());
   processes_.push_back(std::make_unique<Process>(*this, id, std::move(name),
-                                                 std::move(body), stack_bytes));
+                                                 std::move(body)));
   Process* p = processes_.back().get();
   start_pending_.push_back(p);
   if (running_) {

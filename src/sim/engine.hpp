@@ -32,7 +32,7 @@ class Engine;
 class Process {
  public:
   Process(Engine& engine, int id, std::string name,
-          std::function<void(Process&)> body, std::size_t stack_bytes);
+          std::function<void(Process&)> body);
 
   Process(const Process&) = delete;
   Process& operator=(const Process&) = delete;
@@ -108,14 +108,10 @@ class Engine {
   void cancel(std::uint64_t id);
 
   /// Create a process; its body starts running when run() is called.
-  /// Returns the process (owned by the engine, stable address).
-  /// @param stack_bytes fiber stack size; 0 = default_fiber_stack_bytes()
-  Process& add_process(std::string name, std::function<void(Process&)> body,
-                       std::size_t stack_bytes = 0);
+  /// Returns the process (owned by the engine, stable address).  Its
+  /// fiber stack is default_fiber_stack_bytes().
+  Process& add_process(std::string name, std::function<void(Process&)> body);
 
-  [[nodiscard]] std::size_t process_count() const noexcept {
-    return processes_.size();
-  }
   [[nodiscard]] Process& process(int id) { return *processes_.at(id); }
 
   /// Run until the event queue is empty.  Throws DeadlockError if the

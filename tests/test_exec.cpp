@@ -1,5 +1,5 @@
 // Fiberless (machine-mode) execution: equivalence with fiber mode,
-// determinism, gating, and the fiber-stack satellite knobs.
+// determinism, gating, and the NBCTUNE_FIBER_STACK setting.
 //
 // The contract under test (exec/machine_runner.hpp): wherever both modes
 // can run, machine mode produces byte-identical outcomes, trace event
@@ -229,7 +229,7 @@ TEST(ExecGating, MachineModeRejectsRecoveryPlans) {
   EXPECT_THROW((void)harness::run_fixed(s, 0), std::invalid_argument);
 }
 
-// ------------------------------------------------------- fiber stack knobs
+// ------------------------------------------------------- fiber stack size
 
 TEST(ExecFiberStack, EnvOverridesAndClampsDefault) {
   ASSERT_EQ(unsetenv("NBCTUNE_FIBER_STACK"), 0);
@@ -241,15 +241,6 @@ TEST(ExecFiberStack, EnvOverridesAndClampsDefault) {
   ASSERT_EQ(setenv("NBCTUNE_FIBER_STACK", "garbage", 1), 0);
   EXPECT_EQ(sim::default_fiber_stack_bytes(), 256u * 1024u);
   ASSERT_EQ(unsetenv("NBCTUNE_FIBER_STACK"), 0);
-}
-
-TEST(ExecFiberStack, ScenarioKnobReachesWorldFibers) {
-  harness::MicroScenario s = base_scenario();
-  s.nprocs = 4;
-  s.iterations = 2;
-  s.fiber_stack_bytes = 64 * 1024;  // small but sufficient for the loop
-  const harness::RunOutcome out = harness::run_fixed(s, 0);
-  EXPECT_GT(out.loop_time, 0.0);
 }
 
 TEST(ExecFiberStack, ExhaustionErrorNamesTheRemedies) {
